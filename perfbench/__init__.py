@@ -1,0 +1,5 @@
+"""End-to-end, layer-attributed benchmark of the prediction pipeline.
+
+``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
