@@ -9,11 +9,9 @@ Commands
 ``matmul`` / ``tridiag`` / ``spmv``
     Run a case study and print the model report next to the hardware
     measurement.
-``tune``
-    Measured-cost auto-tuning (:mod:`repro.tune`): ``run`` measures and
-    persists this machine's tuning profile, ``show`` prints the
-    resolved engine knobs and their provenance, ``trend`` compares
-    per-commit ``BENCH_engine_smoke.json`` artifacts.
+``tune trend``
+    Compare per-commit ``BENCH_engine_smoke.json`` artifacts
+    (:mod:`repro.tune.trend`).
 ``analyze``
     Run the static kernel checker (:mod:`repro.analysis`) over the
     built-in app kernels; exits nonzero on any error-severity
@@ -145,7 +143,6 @@ def _engine_kwargs(args) -> dict:
     """Engine knobs shared by the case-study commands."""
     from repro.micro.cache import default_trace_cache_dir
 
-    _ensure_tuned(args)
     trace_cache = None
     if not getattr(args, "no_cache", False):
         trace_cache = str(default_trace_cache_dir())
@@ -154,27 +151,6 @@ def _engine_kwargs(args) -> dict:
         "trace_cache": trace_cache,
         "task_timeout": getattr(args, "task_timeout", None),
     }
-
-
-def _ensure_tuned(args) -> None:
-    """Self-populate the tuning profile before the first engine run.
-
-    Mirrors calibration's ``load_or_calibrate``: first use on a machine
-    measures once, every later run resolves against the persisted
-    profile.  ``--no-cache`` (nothing should persist) and
-    ``$REPRO_TUNE_AUTO=0`` skip the measurement.
-    """
-    from repro.tune import default_tune_dir, ensure_profile
-
-    ensure_profile(
-        spec=_resolve_spec(args),
-        dry_run=getattr(args, "no_cache", False),
-        on_tune=lambda: obs_log.info(
-            "measuring engine tuning parameters (profile will be "
-            f"cached at {default_tune_dir()}) ...",
-            directory=str(default_tune_dir()),
-        ),
-    )
 
 
 def _print_run(run) -> None:
@@ -286,80 +262,6 @@ def _cmd_spmv(args) -> int:
 
 def _cmd_tune(args) -> int:
     return _TUNE_COMMANDS[args.tune_command](args)
-
-
-def _cmd_tune_run(args) -> int:
-    from repro.tune import autotune, default_tune_dir, save_profile
-
-    obs_log.info("measuring engine tuning parameters ...")
-    profile = autotune(
-        workers_counts=tuple(args.workers_counts),
-        slab_repeats=args.repeats,
-        events_repeats=args.repeats + 1,
-        save=False,
-    )
-    print(f"machine              : {profile.machine}")
-    print(
-        "per-event cost       : "
-        f"{profile.meta['seconds_per_event'] * 1e6:.2f} us/event, "
-        f"pool startup {profile.meta['pool_startup_seconds'] * 1e3:.1f} ms"
-    )
-    print(
-        "min_parallel_events  : "
-        + ", ".join(
-            f"{w} workers -> {v}"
-            for w, v in sorted(profile.min_parallel_events.items())
-        )
-    )
-    print(
-        "grid_batch_blocks    : "
-        + ", ".join(
-            f"{warps} warps/block -> {v}"
-            for warps, v in sorted(profile.grid_batch_blocks.items())
-        )
-        + f" (default {profile.default_grid_batch_blocks})"
-    )
-    if args.dry_run:
-        print("dry run: profile not saved")
-        return 0
-    path = save_profile(profile)
-    print(f"profile saved (auto-applied from now on): {path}")
-    print(f"profile directory    : {default_tune_dir()}")
-    return 0
-
-
-def _cmd_tune_show(args) -> int:
-    from repro.arch.specs import GTX285
-    from repro.tune import (
-        default_tune_dir,
-        load_profile,
-        machine_fingerprint,
-        resolve_with_source,
-    )
-    from repro.util import spec_fingerprint
-
-    spec = GTX285
-    spec_fp = spec_fingerprint(spec)
-    profile = load_profile(spec_fp)
-    print(f"machine              : {machine_fingerprint()}")
-    print(f"profile directory    : {default_tune_dir()}")
-    if profile is None:
-        print("profile              : none (run `python -m repro tune run`)")
-    else:
-        print(f"profile              : created {profile.created}")
-        for warps, value in sorted(profile.grid_batch_blocks.items()):
-            print(f"  grid_batch_blocks[{warps} warps/block] = {value}")
-        for workers, value in sorted(profile.min_parallel_events.items()):
-            print(f"  min_parallel_events[{workers} workers] = {value}")
-    value, source = resolve_with_source(
-        "grid_batch_blocks", spec=spec, warps_per_block=args.warps or None
-    )
-    print(f"grid_batch_blocks    : {value} (from {source})")
-    value, source = resolve_with_source(
-        "min_parallel_events", spec=spec, workers=args.workers
-    )
-    print(f"min_parallel_events  : {value} (from {source})")
-    return 0
 
 
 def _cmd_tune_trend(args) -> int:
@@ -496,7 +398,6 @@ def _cmd_specs_crossval(args) -> int:
     from repro.micro.cache import default_trace_cache_dir
     from repro.model.crossval import cross_validate
 
-    _ensure_tuned(args)
     trace_cache = None
     if not args.no_cache:
         trace_cache = str(default_trace_cache_dir())
@@ -616,48 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser(
         "tune",
-        help="measured-cost auto-tuning (profiles, knobs, perf trends)",
+        help="perf trends over engine-smoke artifacts",
     )
     tune_sub = tune.add_subparsers(dest="tune_command", required=True)
-
-    tune_run = tune_sub.add_parser(
-        "run", help="measure this machine and persist a tuning profile"
-    )
-    tune_run.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="best-of repeats per measurement (higher = less noise)",
-    )
-    tune_run.add_argument(
-        "--workers-counts",
-        type=int,
-        nargs="+",
-        default=[2, 4, 8],
-        metavar="N",
-        help="pool widths to compute serial/pool crossovers for",
-    )
-    tune_run.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="measure and print, but do not persist the profile",
-    )
-
-    tune_show = tune_sub.add_parser(
-        "show", help="print resolved tuning values and their provenance"
-    )
-    tune_show.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="pool width context for the min_parallel_events lookup",
-    )
-    tune_show.add_argument(
-        "--warps",
-        type=int,
-        default=0,
-        help="warps-per-block context for the grid_batch_blocks lookup",
-    )
 
     tune_trend = tune_sub.add_parser(
         "trend",
@@ -868,8 +730,6 @@ _SPECS_COMMANDS = {
 }
 
 _TUNE_COMMANDS = {
-    "run": _cmd_tune_run,
-    "show": _cmd_tune_show,
     "trend": _cmd_tune_trend,
 }
 

@@ -473,7 +473,9 @@ def affine_summary(
         succs = [index + 1]
         if kind == OpKind.BRANCH and instr.target >= 0:
             succs = [instr.target] if instr.guard is None else [index + 1, instr.target]
-        elif kind == OpKind.EXIT:
+        elif kind == OpKind.EXIT and instr.guard is None:
+            # Only an unguarded exit ends the path: a guarded one retires
+            # the lanes whose predicate holds, the rest fall through.
             succs = []
         for succ in succs:
             if states[succ] is None:

@@ -49,9 +49,9 @@ __all__ = [
 def default_cache_dir() -> Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
-    The resolution itself lives in :func:`repro.util.default_cache_dir`
-    (shared with the tuning-profile store); this wrapper keeps the
-    historical :class:`~pathlib.Path` return type.
+    The resolution itself lives in :func:`repro.util.default_cache_dir`;
+    this wrapper keeps the historical :class:`~pathlib.Path` return
+    type.
     """
     return Path(_default_cache_root())
 

@@ -138,7 +138,9 @@ class CalibrationTables:
         return cls.from_json(Path(path).read_text(), gpu=gpu)
 
 
-_DEFAULT_TABLES: dict[int, CalibrationTables] = {}
+#: Process-wide :func:`default_tables` memo, keyed on content: the spec
+#: fingerprint and the (frozen, hashable) ``HwConfig``.
+_DEFAULT_TABLES: dict[tuple, CalibrationTables] = {}
 
 
 def calibrate(
@@ -168,7 +170,7 @@ def calibrate(
 def default_tables(gpu: HardwareGpu | None = None) -> CalibrationTables:
     """Process-wide cached calibration for the default hardware."""
     gpu = gpu or HardwareGpu()
-    key = id(gpu.config) ^ id(gpu.spec)
+    key = (spec_fingerprint(gpu.spec), gpu.config)
     if key not in _DEFAULT_TABLES:
         _DEFAULT_TABLES[key] = calibrate(gpu)
     return _DEFAULT_TABLES[key]

@@ -11,26 +11,27 @@ four files next to each other in the output directory:
   parallel swimlanes under the main track;
 * ``metrics.json`` -- the counter/gauge/histogram registry snapshot;
 * ``manifest.json`` -- run provenance: command line, spec fingerprints
-  and cache versions, tuning provenance, git describe, the active fault
-  plan, interpreter/platform, wall-clock timestamps.
+  and cache versions, git describe, the active fault plan,
+  interpreter/platform/machine, wall-clock timestamps.
 
-Every manifest section is assembled fail-open (a missing git binary or
-an unreadable tuning profile yields ``null``, never a crashed run), and
-the writers go through :func:`repro.util.atomic_write_bytes` so a
-killed run cannot leave a torn file.
+Every manifest section is assembled fail-open (a missing git binary
+yields ``null``, never a crashed run), and the writers go through
+:func:`repro.util.atomic_write_bytes` so a killed run cannot leave a
+torn file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import sys
 import time
 
 from repro.obs.core import Recorder
 
 #: Manifest schema stamp.
-MANIFEST_SCHEMA = "obs_manifest/1"
+MANIFEST_SCHEMA = "obs_manifest/2"
 
 #: Chrome trace process id (single logical process per run).
 _PID = 1
@@ -172,27 +173,7 @@ def _cache_versions() -> dict:
         versions["calibration"] = CALIBRATION_CACHE_VERSION
     except Exception:
         versions["calibration"] = None
-    try:
-        from repro.tune.profile import TUNE_PROFILE_VERSION
-
-        versions["tune"] = TUNE_PROFILE_VERSION
-    except Exception:
-        versions["tune"] = None
     return versions
-
-
-def _tuning_provenance() -> dict | None:
-    """Resolved engine knobs and where each value came from."""
-    try:
-        from repro.tune import resolve_with_source
-
-        tuning = {}
-        for knob in ("grid_batch_blocks", "min_parallel_events"):
-            value, source = resolve_with_source(knob)
-            tuning[knob] = {"value": value, "source": source}
-        return tuning
-    except Exception:
-        return None
 
 
 def _fault_plan() -> str | None:
@@ -205,13 +186,17 @@ def _fault_plan() -> str | None:
         return None
 
 
-def _machine() -> str | None:
-    try:
-        from repro.tune.profile import machine_fingerprint
-
-        return machine_fingerprint()
-    except Exception:
-        return None
+def _machine() -> str:
+    """Host, architecture, interpreter and core count of this run."""
+    return "|".join(
+        (
+            platform.node() or "unknown-host",
+            platform.machine() or "unknown-arch",
+            platform.python_implementation(),
+            f"{sys.version_info[0]}.{sys.version_info[1]}",
+            f"cpus={os.cpu_count() or 1}",
+        )
+    )
 
 
 def build_manifest(
@@ -220,8 +205,6 @@ def build_manifest(
     command: str | None = None,
     exit_status: int | None = None,
 ) -> dict:
-    import platform
-
     spans = sum(1 for e in recorder.events if e["type"] == "span")
     logs = sum(1 for e in recorder.events if e["type"] == "log")
     return {
@@ -235,7 +218,6 @@ def build_manifest(
         "machine": _machine(),
         "git_describe": _git_describe(),
         "cache_versions": _cache_versions(),
-        "tuning": _tuning_provenance(),
         "fault_plan": _fault_plan(),
         "annotations": dict(sorted(recorder.annotations.items())),
         "events": len(recorder.events),

@@ -588,11 +588,7 @@ class SimulationEngine:
         kept for differential benchmarks and tests.
     grid_batch_blocks:
         Blocks per multi-block interpreter slab (and per worker chunk).
-        ``None`` defers to :func:`repro.tune.resolve` per launch:
-        ``$REPRO_TUNE_GRID_BATCH_BLOCKS`` /
-        ``$REPRO_GRID_BATCH_BLOCKS``, then the machine's persisted
-        tuning profile keyed by the launch's warps-per-block, then the
-        built-in default.
+        ``None`` uses :data:`repro.sim.functional.GRID_BATCH_BLOCKS`.
     dedup_verify:
         How multi-member dedup classes are verified.  ``"proof"``
         (default) consults the static soundness proof
@@ -1079,7 +1075,7 @@ class SimulationEngine:
         """
         if self.workers <= 1 or len(blocks) <= 1:
             return self.simulator.run_blocks(launch, blocks)
-        step = max(1, int(self.simulator.grid_batch_blocks_for(launch)))
+        step = max(1, int(self.simulator.grid_batch_blocks))
         chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
         # Ship the arena through multiprocessing.shared_memory instead
         # of re-pickling it per fan-out; workers copy it into private
@@ -1222,9 +1218,7 @@ class SimulationEngine:
             # racy kernels (blocks sharing a slab interleave lockstep);
             # the per-warp oracle never forms slabs, so its keys stay
             # width-independent.
-            h.update(
-                f"gbb={self.simulator.grid_batch_blocks_for(launch)};".encode()
-            )
+            h.update(f"gbb={self.simulator.grid_batch_blocks};".encode())
         if not self.batched:
             # Batched and per-warp traces are bit-identical for
             # well-synchronized kernels; the oracle is keyed separately

@@ -68,7 +68,6 @@ from repro.memory.coalescing import (
     coalesce_warp_multi,
 )
 from repro.sim.memory import GlobalMemory, SharedMemory
-from repro.tune import resolve as tune_resolve
 from repro.sim.trace import (
     EV_ARITH,
     EV_ARITH_SHARED,
@@ -87,10 +86,10 @@ from repro.sim.trace import (
 # computational-density metric.  Integer MADs are address bookkeeping.
 _MAD_OPS = (Opcode.FMAD, Opcode.DFMA)
 
-#: Environment override for :attr:`FunctionalSimulator.grid_batch_blocks`
-#: (historical alias; resolution -- kwarg > env > tuning profile >
-#: built-in default -- lives in :func:`repro.tune.resolve`).
-GRID_BATCH_BLOCKS_ENV = "REPRO_GRID_BATCH_BLOCKS"
+#: Default :attr:`FunctionalSimulator.grid_batch_blocks`: blocks per
+#: multi-block interpreter slab.  A pure schedule choice -- traces are
+#: bit-identical at any width.
+GRID_BATCH_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -592,13 +591,8 @@ class FunctionalSimulator:
         oracle for differential testing; both produce bit-identical
         :class:`BlockTrace` results for barrier-synchronized kernels.
     grid_batch_blocks:
-        Blocks per multi-block slab in :meth:`run_blocks`.  ``None``
-        (default) resolves through :func:`repro.tune.resolve` *per
-        launch* (see :meth:`grid_batch_blocks_for`):
-        ``$REPRO_TUNE_GRID_BATCH_BLOCKS`` /
-        ``$REPRO_GRID_BATCH_BLOCKS``, then the machine's persisted
-        tuning profile (``repro tune run``) keyed by the launch's
-        warps-per-block, then the built-in default.
+        Blocks per multi-block slab in :meth:`run_blocks` (floor 1).
+        ``None`` (default) uses :data:`GRID_BATCH_BLOCKS`.
     """
 
     def __init__(
@@ -616,7 +610,11 @@ class FunctionalSimulator:
         self.spec = spec
         self.max_warp_instructions = max_warp_instructions
         self.batched = batched
-        self._grid_batch_kwarg = grid_batch_blocks
+        self.grid_batch_blocks = (
+            GRID_BATCH_BLOCKS
+            if grid_batch_blocks is None
+            else max(1, int(grid_batch_blocks))
+        )
         self._decoded = [
             _Decoded(instr, kernel.labels) for instr in kernel.instructions
         ]
@@ -631,41 +629,6 @@ class FunctionalSimulator:
         self._txn_configs: dict[int, TransactionConfig] = {}
         for granularity in (4, 8, 16, 32, 64, 128):
             self._txn_config(granularity)
-
-    @property
-    def grid_batch_blocks(self) -> int:
-        """Launch-independent slab width (no warps-per-block context).
-
-        Kept for callers without a launch in hand; slab-forming paths
-        use :meth:`grid_batch_blocks_for`, which also consults the
-        tuning profile's per-warps-per-block table.
-        """
-        return tune_resolve(
-            "grid_batch_blocks", kwarg=self._grid_batch_kwarg, spec=self.spec
-        )
-
-    @grid_batch_blocks.setter
-    def grid_batch_blocks(self, value: int | None) -> None:
-        # An explicit width has kwarg precedence: it wins over the env
-        # and the profile for every subsequent launch.
-        self._grid_batch_kwarg = value
-
-    def grid_batch_blocks_for(self, launch: LaunchConfig) -> int:
-        """Slab width for one launch, resolved at ``run_blocks`` time.
-
-        The tuning profile stores the measured best width *per
-        warps-per-block* (wide blocks saturate the batch earlier), so
-        the width is a property of the launch, not of the simulator:
-        one simulator instance serves differently-shaped launches with
-        each launch's own tuned width.  Explicit ``grid_batch_blocks``
-        kwargs and the environment still override.
-        """
-        return tune_resolve(
-            "grid_batch_blocks",
-            kwarg=self._grid_batch_kwarg,
-            spec=self.spec,
-            warps_per_block=launch.warps_per_block,
-        )
 
     def _txn_config(self, granularity: int) -> TransactionConfig:
         """Memoized coalescing config for one granularity.
@@ -729,7 +692,7 @@ class FunctionalSimulator:
         if not (self.batched and len(blocks) > 1):
             return [self.run_block(launch, block) for block in blocks]
         traces: list[BlockTrace] = []
-        step = max(1, int(self.grid_batch_blocks_for(launch)))
+        step = max(1, int(self.grid_batch_blocks))
         with obs.span(
             "functional.run_blocks", blocks=len(blocks), slab=step
         ):

@@ -26,10 +26,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 def default_cache_dir() -> str:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
-    Lives here, dependency-free, because every on-disk store keys off
-    it: calibration tables (micro), trace/measured memo caches, and the
-    tuning profiles (:mod:`repro.tune`) -- the last of which is read by
-    modules (``sim``, ``hw``) that must not import :mod:`repro.micro`.
+    Every on-disk store keys off it: calibration tables and the
+    trace/measured memo caches (see :mod:`repro.micro.cache`).
     """
     override = os.environ.get(CACHE_DIR_ENV)
     if override:

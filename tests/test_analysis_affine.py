@@ -11,7 +11,8 @@ from repro.analysis.affine import (
     affine_summary,
     trace_block_class,
 )
-from repro.isa import Imm, KernelBuilder
+from repro.isa import Imm, KernelBuilder, parse_kernel
+from repro.sim.engine import analyze_dependence
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
 
@@ -98,6 +99,26 @@ class TestAffineSummary:
         summary = affine_summary(kernel)
         (store,) = [a for a in summary.addresses if a.store]
         assert store.form.const is LOOP or store.form.const is TOP
+
+    def test_guarded_exit_falls_through(self):
+        # A guarded exit does not end the path: the summary must see
+        # the accesses after it, including the data-dependent gather
+        # that analyze_dependence reports.
+        kernel = parse_kernel(
+            ".kernel guarded_exit\n.regs 5\n.preds 1\n"
+            "    isetp.ge p0, %tid, 16\n"
+            "    @p0 exit\n"
+            "    imad r2, %tid, 4, r0\n"
+            "    ldg r3, g[r2]\n"
+            "    imad r4, r3, 4, r0\n"
+            "    ldg r3, g[r4]\n"
+            "    stg g[r2], r3\n"
+            "    exit\n"
+        )
+        summary = affine_summary(kernel)
+        assert len(summary.addresses) == 3
+        assert not summary.affine
+        assert analyze_dependence(kernel).global_addr
 
 
 class TestClassBox:

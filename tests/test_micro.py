@@ -191,3 +191,31 @@ class TestCalibrationTables:
         detached = CalibrationTables.from_json(tables.to_json())
         with pytest.raises(CalibrationError):
             detached.global_benchmark(99, 64, 4)
+
+
+class TestDefaultTables:
+    def test_memo_keys_on_content_not_identity(self, monkeypatch, tables):
+        from dataclasses import replace
+
+        import repro.micro.calibration as calibration_mod
+        from repro.hw.config import HwConfig
+        from repro.model import PerformanceModel
+
+        calls = []
+
+        def fake_calibrate(gpu):
+            calls.append(gpu)
+            return tables
+
+        monkeypatch.setattr(calibration_mod, "_DEFAULT_TABLES", {})
+        monkeypatch.setattr(calibration_mod, "calibrate", fake_calibrate)
+        # Each PerformanceModel() builds a fresh HardwareGpu (a fresh
+        # HwConfig object): equal content must hit the memo.
+        PerformanceModel()
+        PerformanceModel()
+        assert len(calls) == 1
+        slower = replace(HwConfig(), issue_gap=2.0)
+        calibration_mod.default_tables(HardwareGpu(config=slower))
+        assert len(calls) == 2
+        calibration_mod.default_tables(HardwareGpu(config=replace(slower)))
+        assert len(calls) == 2

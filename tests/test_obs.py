@@ -17,6 +17,7 @@ The invariants under test mirror the design constraints in
 from __future__ import annotations
 
 import json
+import os
 import pickle
 from dataclasses import replace
 
@@ -363,8 +364,15 @@ class TestExportAndReport:
         from repro.sim.engine import ENGINE_CACHE_VERSION
 
         assert manifest["cache_versions"]["engine"] == ENGINE_CACHE_VERSION
+        assert set(manifest["cache_versions"]) == {"engine", "hw", "calibration"}
         assert manifest["annotations"] == {"spec.gtx285": "fingerprint"}
-        assert manifest["tuning"]["grid_batch_blocks"]["source"]
+        assert manifest["machine"].endswith(f"cpus={os.cpu_count() or 1}")
+        assert set(manifest) == {
+            "schema", "command", "argv", "exit_status", "written_at",
+            "python", "platform", "machine", "git_describe",
+            "cache_versions", "fault_plan", "annotations", "events",
+            "spans", "logs",
+        }
 
     def test_report_round_trip(self, tmp_path):
         export.export_session(
