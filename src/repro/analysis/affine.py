@@ -3,13 +3,16 @@
 Two cooperating interpreters share the instruction semantics of the
 functional simulator:
 
-1. :func:`affine_summary` -- a launch-independent fixed-point pass
-   (same worklist/join skeleton as ``analyze_dependence`` in
-   ``sim/engine.py``) that derives for every register a symbolic form
+1. :func:`affine_summary` -- a launch-independent worklist fixed point
+   over the kernel CFG that derives for every register a symbolic form
    ``a*tid + b*ctaid_x + c*ctaid_y + d``, where each coefficient is an
    integer or ``TOP`` and the constant may additionally be ``LOOP``
    (loop-varying).  It summarizes every memory address and guard in
-   those terms.
+   those terms.  It is the repository's one static dependence analysis:
+   the simulation engine partitions blocks from its
+   :attr:`~KernelAffineSummary.data_dependent` and
+   :attr:`~KernelAffineSummary.block_in_control` verdicts, and the same
+   ``data`` flag gates trace synthesis.
 
 2. :func:`trace_block_class` -- a concolic tracer that executes ONE
    symbolic block per dedup class.  Each lane carries a concrete
@@ -161,6 +164,9 @@ class AffineForm:
         return frozenset(out)
 
     def join(self, other: AffineForm) -> AffineForm:
+        # Most joins meet an unchanged form: skip the rebuild.
+        if other is self or other == self:
+            return self
         return AffineForm(
             _coeff_join(self.tid, other.tid),
             _coeff_join(self.bx, other.bx),
@@ -237,6 +243,8 @@ _UNIFORM_UNKNOWN = AffineForm(const=TOP)
 
 _LINEAR_SIGN = {Opcode.IADD: 1, Opcode.ISUB: -1}
 
+_BLOCK_TAGS = frozenset(("ctaid_x", "ctaid_y"))
+
 _LOAD_KINDS = (OpKind.LOAD_GLOBAL, OpKind.LOAD_SHARED)
 _STORE_KINDS = (OpKind.STORE_GLOBAL, OpKind.STORE_SHARED)
 
@@ -271,6 +279,31 @@ class KernelAffineSummary:
             "data" not in deps for deps in self.guards.values()
         )
 
+    @property
+    def data_dependent(self) -> bool:
+        """Memory contents reach an address or a guard: no block dedup.
+
+        ``data`` is ORed through every transfer and join, so this does
+        not depend on the launch the summary was bound to.
+        """
+        return any(a.form.data for a in self.addresses) or any(
+            "data" in deps for deps in self.guards.values()
+        )
+
+    @property
+    def block_in_control(self) -> bool:
+        """Block coordinates reach a guard or a shared-memory address.
+
+        The engine then partitions by boundary role; ctaid in global
+        addresses alone only shifts a block's footprint.
+        """
+        return any(
+            not deps.isdisjoint(_BLOCK_TAGS) for deps in self.guards.values()
+        ) or any(
+            a.space == "shared" and not a.form.tags.isdisjoint(_BLOCK_TAGS)
+            for a in self.addresses
+        )
+
 
 class _AffineState:
     """Join-semilattice state at one program point."""
@@ -286,21 +319,32 @@ class _AffineState:
         return _AffineState(list(self.regs), list(self.preds), self.smem)
 
     def join(self, other: _AffineState) -> bool:
+        """Merge ``other`` in; returns True when anything widened.
+
+        Copies share their forms, so identical entries skip the rebuild.
+        """
         changed = False
+        regs = self.regs
         for i, form in enumerate(other.regs):
-            merged = self.regs[i].join(form)
-            if merged != self.regs[i]:
-                self.regs[i] = merged
+            mine = regs[i]
+            if form is mine:
+                continue
+            merged = mine.join(form)
+            if merged is not mine and merged != mine:
+                regs[i] = merged
                 changed = True
+        preds = self.preds
         for i, deps in enumerate(other.preds):
-            merged = self.preds[i] | deps
-            if merged != self.preds[i]:
-                self.preds[i] = merged
-                changed = True
-        merged = self.smem.join(other.smem)
-        if merged != self.smem:
-            self.smem = merged
+            mine = preds[i]
+            if deps is mine or deps <= mine:
+                continue
+            preds[i] = mine | deps
             changed = True
+        if other.smem is not self.smem:
+            merged = self.smem.join(other.smem)
+            if merged is not self.smem and merged != self.smem:
+                self.smem = merged
+                changed = True
         return changed
 
 

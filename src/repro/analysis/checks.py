@@ -33,13 +33,13 @@ warps are scheduling-dependent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.isa.program import Kernel
-from repro.sim.engine import TAINT_BLOCK, partition_blocks, analyze_dependence
+from repro.sim.engine import partition_blocks
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
-from repro.analysis.affine import ClassBox, ClassTrace, trace_block_class
+from repro.analysis.affine import ClassBox, ClassTrace, affine_summary, trace_block_class
 
 #: Severity sort order (most severe first).
 SEVERITIES = ("error", "warning", "info")
@@ -82,28 +82,19 @@ def check_kernel(
     out-of-bounds checking against real allocations; without it only
     shared bounds are checked.
     """
-    dependence = analyze_dependence(kernel)
     # Partition by block *roles* even for data-dependent kernels: the
     # checker wants coverage of boundary control flow, not dedup; data
-    # taint alone would explode the grid into singletons.
-    role_dependence = replace(
-        dependence,
-        control=dependence.control & TAINT_BLOCK,
-        shared_addr=dependence.shared_addr & TAINT_BLOCK,
-        global_addr=dependence.global_addr & TAINT_BLOCK,
+    # dependence alone would explode the grid into singletons.
+    classes = partition_blocks(
+        launch,
+        data_dependent=False,
+        block_in_control=affine_summary(kernel).block_in_control,
     )
-    classes = partition_blocks(launch, role_dependence)
 
     traces: list[ClassTrace] = []
     for cls in classes:
+        # Role classes are products of index ranges, hence rectangles.
         box = ClassBox.from_members(cls.members)
-        if box is None:  # pragma: no cover - role classes are rectangles
-            box = ClassBox(
-                min(m[0] for m in cls.members),
-                max(m[0] for m in cls.members),
-                min(m[1] for m in cls.members),
-                max(m[1] for m in cls.members),
-            )
         traces.append(
             trace_block_class(
                 kernel,

@@ -9,18 +9,16 @@ all -- and its trace does not need the memory contents to exist.
 This module synthesizes a class representative's :class:`BlockTrace`
 from the program alone:
 
-* **Coverage gate.**  Synthesis is offered only when the taint analysis
-  (:func:`repro.sim.engine.analyze_dependence`) shows that no control
-  flow, shared address, or global address can depend on global-memory
-  *contents*, and the affine fixed point
-  (:func:`repro.analysis.affine.affine_summary`) confirms every address
-  and guard is data-free (loop-carried pointers may widen to TOP -- the
-  synthesizer re-executes the loop, so only *data* taint is fatal).
-  Under that gate, loaded values can only flow into stored data --
-  never into anything a trace records -- so executing the anchor with
-  zeroed loads is trace-equivalent to executing it with the real arena.
-  SpMV and other data-dependent kernels are refused and fall back to
-  the batched interpreter.
+* **Coverage gate.**  Synthesis is offered only when the affine fixed
+  point (:func:`repro.analysis.affine.affine_summary`) shows that no
+  guard, shared address, or global address can depend on global-memory
+  *contents* (``not summary.data_dependent``).  Loop-carried pointers
+  may widen to TOP -- the synthesizer re-executes the loop, so only
+  *data* dependence is fatal.  Under that gate, loaded values can only
+  flow into stored data -- never into anything a trace records -- so
+  executing the anchor with zeroed loads is trace-equivalent to
+  executing it with the real arena.  SpMV and other data-dependent
+  kernels are refused and fall back to the batched interpreter.
 * **Symbolic execution.**  :class:`TraceSynthesizer` walks the anchor
   block once per class with the per-warp reference schedule (min-PC
   reconvergence, barrier-delimited stages), recording the exact event
@@ -55,7 +53,6 @@ from repro.arch.specs import GTX285, GpuSpec, WARP_SIZE
 from repro.isa.program import Kernel
 from repro.memory.banks import warp_transactions_affine
 from repro.memory.coalescing import coalesce_warp, coalesce_warp_affine
-from repro.sim.engine import KernelDependence, analyze_dependence
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 from repro.sim.memory import GlobalMemory
 from repro.sim.trace import EV_GLOBAL_LD, EV_GLOBAL_ST, EV_SHARED, BlockTrace
@@ -84,35 +81,21 @@ def synthesis_coverage(
     kernel: Kernel,
     launch: LaunchConfig,
     *,
-    dependence: KernelDependence | None = None,
     summary: KernelAffineSummary | None = None,
 ) -> SynthesisCoverage:
     """Static gate for zero-memory synthesis of a launch's traces.
 
     Refusal is always sound -- the engine falls back to the batched
-    interpreter -- and carries the first obstruction found.  Both
-    analyses can be passed in when the caller already ran them.
+    interpreter.  The gate is data-freedom, not full affine closure (see
+    the module docstring); the ``data`` flag does not depend on the
+    launch, so the engine passes in its unbound ``summary``.
     """
-    if dependence is None:
-        dependence = analyze_dependence(kernel)
-    if dependence.data_dependent:
+    if summary is None:
+        summary = affine_summary(kernel, launch)
+    if summary.data_dependent:
         return SynthesisCoverage(
             False,
             "global-memory contents can steer control flow or addresses",
-        )
-    if summary is None:
-        summary = affine_summary(kernel, launch)
-    # Loop-carried pointers widen to TOP coefficients without being any
-    # less replayable -- the synthesizer re-executes the loop.  What it
-    # cannot replay is an address derived from global-memory *contents*,
-    # so the summary gate is data-freedom, not full affine closure.
-    if any(address.form.data for address in summary.addresses):
-        return SynthesisCoverage(
-            False, "a memory address is derived from loaded data"
-        )
-    if any("data" in deps for deps in summary.guards.values()):
-        return SynthesisCoverage(
-            False, "a branch guard is derived from loaded data"
         )
     return SynthesisCoverage(True, "data-free control and addressing")
 

@@ -12,7 +12,7 @@ without ghost padding.
 
 This is the ROADMAP's "genuinely heterogeneous classes" scenario: the
 guard routes ``ctaid`` into control flow, so the simulation engine's
-taint analysis refuses single-class dedup and partitions the grid by
+dependence summary refuses single-class dedup and partitions the grid by
 boundary role (first/interior/last along x) -- three probe-verified
 classes instead of one, with the tail block's shorter activity caught
 by the last-member probe.

@@ -316,6 +316,8 @@ class HardwareGpu:
         trace object).  Content-equal traces from *distinct* objects
         still unify, which lets hand-built trace lists dedup too.
         """
+        # Keyed by id(): safe because the caller's ``traces`` list holds
+        # a strong reference to every trace for this call's lifetime.
         digest_by_id: dict[int, str] = {}
         class_of_digest: dict[str, int] = {}
         class_ids: list[int] = []

@@ -13,6 +13,8 @@ view of native code.  Grammar (one item per line)::
 
 Operands: ``r3``, ``p1``, ``%tid``, ``3.5``, ``-2``, ``g[r3+0x10]``,
 ``s[0x40]``, ``s[r2]``.  Branches name their label as the sole operand.
+A guarded ``exit`` parses, but
+:func:`repro.isa.validate.validate_kernel` rejects it.
 """
 
 from __future__ import annotations

@@ -134,6 +134,7 @@ class KernelBuilder:
         self._emit(Instruction(Opcode.BAR))
 
     def exit(self) -> None:
+        """Retire every active lane (``exit`` is never guarded)."""
         self._emit(Instruction(Opcode.EXIT))
 
     def nop(self) -> None:

@@ -17,10 +17,12 @@ def validate_kernel(kernel: Kernel, spec: GpuSpec | None = None) -> None:
     """Raise :class:`ValidationError` on any structural problem.
 
     Checks register/predicate bounds, label resolution, memory-space
-    consistency (already enforced per-instruction), and that execution
-    cannot fall off the end of the program.  With a ``spec``, also
-    checks the kernel's static shared-memory footprint (including the
-    ABI overhead) against the per-block hardware limit.
+    consistency (already enforced per-instruction), that execution
+    cannot fall off the end of the program, and that no ``exit`` carries
+    a guard (the interpreters retire every lane at an ``exit``, while
+    CUDA would retire only the lanes whose predicate holds).  With a
+    ``spec``, also checks the kernel's static shared-memory footprint
+    (including the ABI overhead) against the per-block hardware limit.
     """
     _check_terminates(kernel)
     if spec is not None and kernel.shared_memory_bytes > spec.sm.shared_memory_bytes:
@@ -42,6 +44,10 @@ def validate_kernel(kernel: Kernel, spec: GpuSpec | None = None) -> None:
         if instr.opcode.kind == OpKind.BRANCH:
             if instr.target not in kernel.labels:
                 raise ValidationError(f"{where}: undefined label {instr.target!r}")
+        if instr.opcode.kind == OpKind.EXIT and instr.guard is not None:
+            raise ValidationError(
+                f"{where}: exit cannot be guarded; branch around it instead"
+            )
         shared = instr.shared_operand
         if shared is not None and instr.opcode.kind == OpKind.SETP:
             raise ValidationError(f"{where}: setp cannot read shared memory")

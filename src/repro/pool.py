@@ -183,6 +183,8 @@ class HealthRecord:
 # ----------------------------------------------------------------------
 # shared-memory segment tracking
 # ----------------------------------------------------------------------
+#: Keyed by id(): safe because the map itself holds a strong reference
+#: to every segment until release_segment pops it.
 _TRACKED_SEGMENTS: dict[int, object] = {}
 
 

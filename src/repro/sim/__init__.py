@@ -2,10 +2,8 @@
 
 from repro.sim.engine import (
     EngineStats,
-    KernelDependence,
     SimulationEngine,
     TraceCache,
-    analyze_dependence,
     kernel_fingerprint,
     partition_blocks,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "EV_SHARED",
     "FunctionalSimulator",
     "GlobalMemory",
-    "KernelDependence",
     "KernelTrace",
     "LaunchConfig",
     "SharedMemory",
@@ -57,7 +54,6 @@ __all__ = [
     "TraceCache",
     "aggregate_blocks",
     "aggregate_weighted",
-    "analyze_dependence",
     "evenly_spaced_blocks",
     "kernel_fingerprint",
     "make_simulator",

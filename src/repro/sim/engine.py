@@ -7,22 +7,24 @@ to produce.  The kernels the paper studies are *homogeneous* -- most
 blocks execute the same instruction sequence with the same transaction
 pattern -- so the engine exploits that structure instead of brute force:
 
-1. **Deduplication.**  A one-pass taint analysis over the static kernel
-   (:func:`analyze_dependence`) determines how block coordinates and
-   memory contents can influence control flow and addressing.  Blocks
-   are partitioned into equivalence classes accordingly: one class for
-   fully block-uniform kernels, boundary-role classes (first/interior/
-   last per grid dimension) when ``ctaid`` reaches a guard, and
-   singleton classes when traces are data-dependent.  One representative
-   per class is simulated and its :class:`BlockTrace` is replicated with
-   the exact class multiplicity (:func:`aggregate_weighted` -- no
+1. **Deduplication.**  The affine summary of the static kernel
+   (:func:`repro.analysis.affine.affine_summary`) tells whether memory
+   contents (``data_dependent``) or block coordinates
+   (``block_in_control``) can reach control flow or shared addresses.
+   Blocks are partitioned accordingly: one class for block-uniform
+   kernels, boundary-role classes (first/interior/last per grid
+   dimension) when ``ctaid`` reaches a guard, and singleton classes
+   when traces are data-dependent.  One representative per class is
+   simulated and its :class:`BlockTrace` is replicated with the exact
+   class multiplicity (:func:`aggregate_weighted` -- no
    representative-sample extrapolation).
-2. **Probe verification.**  Taint analysis is conservative about what it
-   *refuses* to dedup, but it cannot prove that block-dependent global
+2. **Verification.**  The summary is conservative about what it
+   *refuses* to dedup, but it cannot show that block-dependent global
    addresses preserve coalescing.  Every multi-member class is therefore
-   verified by also simulating a second member and comparing behavioural
-   fingerprints (:meth:`BlockTrace.stats_key`); on mismatch the class is
-   demoted and every member is simulated individually.
+   certified by the static dedup proof or verified by also simulating
+   probe members and comparing behavioural fingerprints
+   (:meth:`BlockTrace.stats_key`); on mismatch the class is demoted and
+   every member is simulated individually.
 3. **Parallel fan-out.**  Blocks that do need simulating are distributed
    over a ``multiprocessing`` pool (``workers`` > 1).  Workers only
    produce statistics; global-memory *writes* stay in the worker, so the
@@ -45,8 +47,6 @@ from dataclasses import dataclass, replace
 
 from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import AnalysisError, LaunchError, ReproError
-from repro.isa.instructions import MemRef, Pred, Reg, Special
-from repro.isa.opcodes import OpKind
 from repro.isa.program import Kernel
 from repro.pool import (
     HealthRecord,
@@ -88,185 +88,9 @@ from repro.sim.trace import (
 #: v8: coalescing takes its max-segment ceiling from the spec instead
 #: of a hardcoded 128 B, so traces of specs with other ceilings
 #: (registered architecture generations) changed.
-ENGINE_CACHE_VERSION = 8
-
-#: Taint bits.
-TAINT_BLOCK = 1  # value depends on the block coordinates (ctaid)
-TAINT_DATA = 2  # value depends on global-memory contents
-
-_BLOCK_SPECIALS = ("ctaid_x", "ctaid_y")
-
-
-# ----------------------------------------------------------------------
-# static dependence (taint) analysis
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KernelDependence:
-    """How block coordinates and data can influence a block's trace."""
-
-    control: int  # taint of any guard / branch predicate
-    shared_addr: int  # taint of any shared-memory address
-    global_addr: int  # taint of any global-memory address
-
-    @property
-    def data_dependent(self) -> bool:
-        """Traces can differ with memory contents: no cross-block dedup."""
-        return bool(
-            (self.control | self.shared_addr | self.global_addr) & TAINT_DATA
-        )
-
-    @property
-    def block_in_control(self) -> bool:
-        return bool((self.control | self.shared_addr) & TAINT_BLOCK)
-
-    @property
-    def block_in_addresses(self) -> bool:
-        return bool(self.global_addr & TAINT_BLOCK)
-
-
-class _TaintState:
-    """Abstract machine state at one program point."""
-
-    __slots__ = ("regs", "preds", "smem")
-
-    def __init__(self, num_regs: int, num_preds: int) -> None:
-        self.regs = [0] * max(num_regs, 1)
-        self.preds = [0] * max(num_preds, 1)
-        self.smem = 0
-
-    def copy(self) -> "_TaintState":
-        out = _TaintState.__new__(_TaintState)
-        out.regs = list(self.regs)
-        out.preds = list(self.preds)
-        out.smem = self.smem
-        return out
-
-    def join(self, other: "_TaintState") -> bool:
-        """Merge ``other`` in; returns True when anything widened."""
-        changed = False
-        for i, taint in enumerate(other.regs):
-            if self.regs[i] | taint != self.regs[i]:
-                self.regs[i] |= taint
-                changed = True
-        for i, taint in enumerate(other.preds):
-            if self.preds[i] | taint != self.preds[i]:
-                self.preds[i] |= taint
-                changed = True
-        if self.smem | other.smem != self.smem:
-            self.smem |= other.smem
-            changed = True
-        return changed
-
-    def operand(self, operand) -> int:
-        if isinstance(operand, Reg):
-            return self.regs[operand.index]
-        if isinstance(operand, Pred):
-            return self.preds[operand.index]
-        if isinstance(operand, Special):
-            return TAINT_BLOCK if operand.name in _BLOCK_SPECIALS else 0
-        if isinstance(operand, MemRef):
-            # Shared-memory operand of an arithmetic instruction: its
-            # value is whatever any store put there.
-            base = self.regs[operand.base.index] if operand.base else 0
-            return self.smem | base
-        return 0  # Imm
-
-
-def analyze_dependence(kernel: Kernel) -> KernelDependence:
-    """Flow-sensitive taint analysis over the kernel's CFG.
-
-    A worklist abstract interpretation propagates, per program point,
-    which registers/predicates depend on the block coordinates
-    (``ctaid_*``) or on global-memory contents.  ``tid``, ``ntid``,
-    ``nctaid_*`` and launch parameters are launch-uniform and carry no
-    taint.  Flow-sensitivity matters: hand-scheduled kernels reuse dead
-    staging registers (e.g. matmul's prologue scratch later holds loaded
-    data), and a flow-insensitive analysis would smear that data taint
-    onto the address arithmetic computed before the reuse.
-
-    Guarded writes are weak updates (inactive lanes keep the old value);
-    branches conservatively fall through as well as jump, which merges a
-    superset of the genuinely reachable states.
-    """
-    instructions = kernel.instructions
-    n = len(instructions)
-    control = shared_addr = global_addr = 0
-
-    states: list[_TaintState | None] = [None] * n
-    states[0] = _TaintState(kernel.num_registers, kernel.num_predicates)
-    worklist = [0]
-    while worklist:
-        index = worklist.pop()
-        state = states[index].copy()
-        instr = instructions[index]
-        kind = instr.opcode.kind
-
-        guard_taint = (
-            state.preds[instr.guard[0].index] if instr.guard else 0
-        )
-        # A guard shapes the active mask, hence the recorded statistics,
-        # even on non-branch instructions.
-        control |= guard_taint
-        src_taint = guard_taint
-        for src in instr.srcs:
-            src_taint |= state.operand(src)
-            if isinstance(src, MemRef) and src.space == "shared" and src.base:
-                shared_addr |= state.regs[src.base.index]
-
-        successors = []
-        if kind == OpKind.BRANCH:
-            control |= src_taint
-            successors.append(kernel.labels[instr.target])
-            if index + 1 < n:
-                successors.append(index + 1)
-        elif kind == OpKind.EXIT:
-            # Divergent warps continue past a lane-partial exit.
-            if index + 1 < n:
-                successors.append(index + 1)
-        else:
-            if kind == OpKind.SETP:
-                old = state.preds[instr.dst.index] if instr.guard else 0
-                state.preds[instr.dst.index] = old | src_taint
-            elif kind == OpKind.LOAD_GLOBAL:
-                ref = instr.srcs[0]
-                base = state.regs[ref.base.index] if ref.base else 0
-                global_addr |= base | guard_taint
-                old = state.regs[instr.dst.index] if instr.guard else 0
-                state.regs[instr.dst.index] = old | TAINT_DATA | guard_taint
-            elif kind == OpKind.STORE_GLOBAL:
-                base = (
-                    state.regs[instr.dst.base.index] if instr.dst.base else 0
-                )
-                global_addr |= base | guard_taint
-            elif kind == OpKind.LOAD_SHARED:
-                ref = instr.srcs[0]
-                base = state.regs[ref.base.index] if ref.base else 0
-                shared_addr |= base | guard_taint
-                old = state.regs[instr.dst.index] if instr.guard else 0
-                state.regs[instr.dst.index] = old | state.smem | guard_taint
-            elif kind == OpKind.STORE_SHARED:
-                base = (
-                    state.regs[instr.dst.base.index] if instr.dst.base else 0
-                )
-                shared_addr |= base | guard_taint
-                state.smem |= src_taint
-            elif isinstance(instr.dst, Reg):
-                old = state.regs[instr.dst.index] if instr.guard else 0
-                state.regs[instr.dst.index] = old | src_taint
-            if index + 1 < n:
-                successors.append(index + 1)
-
-        for successor in successors:
-            if states[successor] is None:
-                states[successor] = state.copy()
-                worklist.append(successor)
-            elif states[successor].join(state):
-                worklist.append(successor)
-
-    return KernelDependence(
-        control=control, shared_addr=shared_addr, global_addr=global_addr
-    )
-
+#: v9: the block partition comes from the affine summary instead of the
+#: taint pass, which can change ``block_classes`` in cached EngineStats.
+ENGINE_CACHE_VERSION = 9
 
 # ----------------------------------------------------------------------
 # block partitioning
@@ -321,13 +145,13 @@ def _role(index: int, extent: int) -> int:
 
 
 def partition_blocks(
-    launch: LaunchConfig, dependence: KernelDependence
+    launch: LaunchConfig, data_dependent: bool, block_in_control: bool
 ) -> list[BlockClass]:
-    """Partition the grid into candidate equivalence classes."""
+    """Partition the grid by the kernel's affine-summary verdicts."""
     blocks = launch.all_blocks()
-    if dependence.data_dependent:
+    if data_dependent:
         return [BlockClass([block]) for block in blocks]
-    if dependence.block_in_control:
+    if block_in_control:
         gx, gy = launch.grid
         by_role: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for bx, by in blocks:
@@ -663,7 +487,11 @@ class SimulationEngine:
             batched=batched,
             grid_batch_blocks=grid_batch_blocks,
         )
-        self.dependence = analyze_dependence(kernel)
+        # Imported lazily: repro.analysis imports this module for the
+        # block partitioner.
+        from repro.analysis.affine import affine_summary
+
+        self.summary = affine_summary(kernel)
         self.cache = TraceCache(cache_dir) if cache_dir is not None else None
         self.task_timeout = task_timeout
         from repro.faults import parse_plan
@@ -866,15 +694,16 @@ class SimulationEngine:
     ) -> tuple[KernelTrace, EngineStats]:
         from repro import obs
 
-        classes = partition_blocks(launch, self.dependence)
+        classes = partition_blocks(
+            launch, self.summary.data_dependent, self.summary.block_in_control
+        )
 
         # Phase 0: static soundness proof.  A proved class is exact by
         # translation invariance, so its verifier probes are skipped
         # entirely (under "both" they still run, as a prover audit).
         proved: set[int] = set()
         if self.dedup_verify in ("proof", "both"):
-            # Imported lazily: repro.analysis.checks imports this
-            # module for the taint pass and the block partitioner.
+            # Imported lazily, like the summary in __init__.
             from repro.analysis.dedup_proof import prove_block_class
 
             with obs.span("engine.proof", classes=len(classes)):
@@ -910,7 +739,7 @@ class SimulationEngine:
 
             with obs.span("engine.synthesis", classes=len(classes)):
                 if synthesis_coverage(
-                    self.kernel, launch, dependence=self.dependence
+                    self.kernel, launch, summary=self.summary
                 ):
                     synthesizer = TraceSynthesizer(
                         self.kernel,
@@ -1148,7 +977,7 @@ class SimulationEngine:
         kernels replicate one representative and are schedule-
         independent by construction.
         """
-        if not self.dependence.data_dependent:
+        if not self.summary.data_dependent:
             return
         conflicts = find_cross_block_raw(traces)
         if not conflicts:

@@ -1184,6 +1184,8 @@ class _BatchedInterpreter:
         # run and are only ever read, so their slabs are shared; global
         # allocation lookups are memoized per static instruction.
         self._operand_cache: dict[tuple, np.ndarray] = {}
+        # Keyed by id(_Decoded): safe because self.decoded holds a
+        # strong reference to every keyed instruction for our lifetime.
         self._alloc_cache: dict[int, object] = {}
         granularities = run.launch.granularities
         self._gran_configs = [sim._txn_config(g) for g in granularities]

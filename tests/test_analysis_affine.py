@@ -11,8 +11,8 @@ from repro.analysis.affine import (
     affine_summary,
     trace_block_class,
 )
+from repro.analysis.report import BUILTIN_KERNELS, analysis_case
 from repro.isa import Imm, KernelBuilder, parse_kernel
-from repro.sim.engine import analyze_dependence
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
 
@@ -35,6 +35,11 @@ class TestAffineForm:
         joined = a.join(b)
         assert joined.tid is TOP
         assert not joined.affine
+
+    def test_join_with_equal_form_returns_it(self):
+        a = AffineForm(tid=4, bx=TOP, const=LOOP, data=True)
+        assert a.join(a) is a
+        assert a.join(AffineForm(tid=4, bx=TOP, const=LOOP, data=True)) is a
 
     def test_scaled_by_zero_collapses(self):
         form = AffineForm(tid=TOP, bx=3, const=LOOP)
@@ -102,8 +107,7 @@ class TestAffineSummary:
 
     def test_guarded_exit_falls_through(self):
         # A guarded exit does not end the path: the summary must see
-        # the accesses after it, including the data-dependent gather
-        # that analyze_dependence reports.
+        # the accesses after it, including the data-dependent gather.
         kernel = parse_kernel(
             ".kernel guarded_exit\n.regs 5\n.preds 1\n"
             "    isetp.ge p0, %tid, 16\n"
@@ -118,7 +122,53 @@ class TestAffineSummary:
         summary = affine_summary(kernel)
         assert len(summary.addresses) == 3
         assert not summary.affine
-        assert analyze_dependence(kernel).global_addr
+        assert summary.data_dependent
+
+
+#: (data_dependent, block_in_control) per zoo kernel; these are the
+#: values the engine partitions the grid by.
+ZOO_DEPENDENCE = {
+    "matmul": (False, False),
+    "scan": (False, True),
+    "stencil": (False, False),
+    "stencil_guarded": (False, True),
+    "reduction": (False, False),
+    "tridiag": (False, False),
+    "tridiag_nbc": (False, False),
+    "spmv": (True, True),
+}
+
+
+class TestDependenceVerdicts:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_zoo_verdicts(self, name):
+        summary = affine_summary(analysis_case(name).kernel)
+        verdict = (summary.data_dependent, summary.block_in_control)
+        assert verdict == ZOO_DEPENDENCE[name]
+
+    def test_block_in_shared_address_is_control(self):
+        # A ctaid-dependent shared address makes blocks touch different
+        # banks, so it partitions by role even without a guard.
+        b = KernelBuilder("k")
+        b.alloc_shared(64)
+        addr = b.reg()
+        b.imul(addr, b.ctaid_x, Imm(4))
+        v = b.reg()
+        b.lds(v, base=addr)
+        b.exit()
+        summary = affine_summary(b.build())
+        assert summary.block_in_control
+        assert not summary.data_dependent
+
+    def test_block_in_global_address_only_is_uniform(self):
+        b = KernelBuilder("k", params=("out",))
+        addr = b.reg()
+        b.imad(addr, b.ctaid_x, Imm(128), b.param("out"))
+        b.stg(addr, b.tid)
+        b.exit()
+        summary = affine_summary(b.build())
+        assert not summary.block_in_control
+        assert not summary.data_dependent
 
 
 class TestClassBox:

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.affine import affine_summary
 from repro.analysis.dedup_proof import prove_block_class
 from repro.analysis.report import analysis_case
 from repro.errors import AnalysisError, ReproError
@@ -11,11 +12,17 @@ from repro.isa import Imm, KernelBuilder
 from repro.sim.engine import (
     BlockClass,
     SimulationEngine,
-    analyze_dependence,
     partition_blocks,
 )
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
+
+def _partition(launch, kernel):
+    summary = affine_summary(kernel)
+    return partition_blocks(
+        launch, summary.data_dependent, summary.block_in_control
+    )
+
 
 AFFINE_KERNELS = (
     "matmul",
@@ -32,8 +39,7 @@ class TestProofCoverage:
     @pytest.mark.parametrize("name", AFFINE_KERNELS)
     def test_every_affine_class_proves(self, name):
         case = analysis_case(name)
-        dependence = analyze_dependence(case.kernel)
-        classes = partition_blocks(case.launch, dependence)
+        classes = _partition(case.launch, case.kernel)
         for cls in classes:
             result = prove_block_class(
                 case.kernel, case.launch, cls.members, case.gmem
@@ -57,9 +63,7 @@ class TestProofCoverage:
         assert stats.probe_fallbacks == 0
         multi = sum(
             1
-            for cls in partition_blocks(
-                case.launch, analyze_dependence(case.kernel)
-            )
+            for cls in _partition(case.launch, case.kernel)
             if len(cls.members) > 1
         )
         assert stats.proved_classes == multi
@@ -126,7 +130,7 @@ class TestProofProbeContradiction:
         gmem = GlobalMemory()
         kernel, params = self._parity_kernel(gmem)
         launch = LaunchConfig(grid=(10, 1), block_threads=32, params=params)
-        classes = partition_blocks(launch, analyze_dependence(kernel))
+        classes = _partition(launch, kernel)
         interior = next(c for c in classes if len(c.members) > 1)
         result = prove_block_class(kernel, launch, interior.members, gmem)
         assert not result.proved

@@ -14,7 +14,8 @@ from repro.apps.reduction import (
 )
 from repro.errors import LaunchError
 from repro.sim import FunctionalSimulator
-from repro.sim.engine import SimulationEngine, analyze_dependence
+from repro.analysis.affine import affine_summary
+from repro.sim.engine import SimulationEngine
 
 
 class TestNumerics:
@@ -55,9 +56,9 @@ class TestEngine:
     def test_dedups_to_single_probe_verified_class(self):
         problem = prepare_problem(64, 16)
         kernel = build_reduction_kernel(64)
-        dependence = analyze_dependence(kernel)
-        assert not dependence.data_dependent
-        assert not dependence.block_in_control
+        summary = affine_summary(kernel)
+        assert not summary.data_dependent
+        assert not summary.block_in_control
         engine = SimulationEngine(kernel, gmem=problem.gmem)
         trace = engine.run(problem.launch())
         stats = trace.engine_stats

@@ -16,7 +16,8 @@ from repro.apps.scan import (
 )
 from repro.errors import LaunchError
 from repro.sim import FunctionalSimulator
-from repro.sim.engine import SimulationEngine, analyze_dependence
+from repro.analysis.affine import affine_summary
+from repro.sim.engine import SimulationEngine
 
 
 class TestNumerics:
@@ -63,9 +64,9 @@ class TestEngine:
         n = 64 * 12 - 17
         problem = prepare_problem(n=n, block_threads=64)
         kernel = build_scan_kernel(64)
-        dependence = analyze_dependence(kernel)
-        assert not dependence.data_dependent
-        assert dependence.block_in_control
+        summary = affine_summary(kernel)
+        assert not summary.data_dependent
+        assert summary.block_in_control
         engine = SimulationEngine(kernel, gmem=problem.gmem)
         trace = engine.run(problem.launch())
         stats = trace.engine_stats

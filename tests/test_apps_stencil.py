@@ -16,7 +16,8 @@ from repro.apps.stencil import (
 )
 from repro.errors import LaunchError
 from repro.sim import FunctionalSimulator
-from repro.sim.engine import SimulationEngine, analyze_dependence
+from repro.analysis.affine import affine_summary
+from repro.sim.engine import SimulationEngine
 
 
 class TestNumerics:
@@ -57,9 +58,9 @@ class TestEngine:
     def test_dedups_to_single_probe_verified_class(self):
         problem = prepare_problem(n=64 * 12, block_threads=64)
         kernel = build_stencil_kernel(64)
-        dependence = analyze_dependence(kernel)
-        assert not dependence.data_dependent
-        assert not dependence.block_in_control
+        summary = affine_summary(kernel)
+        assert not summary.data_dependent
+        assert not summary.block_in_control
         engine = SimulationEngine(kernel, gmem=problem.gmem)
         trace = engine.run(problem.launch())
         stats = trace.engine_stats
@@ -125,9 +126,9 @@ class TestGuardedVariant:
 
     def test_dedups_into_boundary_role_classes(self):
         kernel = build_stencil_kernel(64, guarded=True)
-        dependence = analyze_dependence(kernel)
-        assert not dependence.data_dependent
-        assert dependence.block_in_control  # ctaid guards the halo loads
+        summary = affine_summary(kernel)
+        assert not summary.data_dependent
+        assert summary.block_in_control  # ctaid guards the halo loads
         problem = prepare_problem(n=64 * 12, block_threads=64, guarded=True)
         trace = SimulationEngine(kernel, gmem=problem.gmem).run(
             problem.launch()

@@ -130,6 +130,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             b.build()
 
+    def test_guarded_exit_rejected(self):
+        # The interpreters retire every lane at an exit, so a guard on
+        # one would be silently ignored; the validator refuses it.
+        from repro.isa import Instruction
+
+        b = KernelBuilder("k")
+        p = b.pred()
+        b.isetp(p, "lt", b.tid, Imm(5))
+        b.emit(Instruction(Opcode.EXIT, guard=(p, True)))
+        with pytest.raises(ValidationError, match="exit cannot be guarded"):
+            b.build()
+
     def test_validate_rejects_missing_terminator(self):
         from repro.isa import Instruction, Kernel, Reg
 

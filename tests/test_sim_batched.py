@@ -503,7 +503,7 @@ class TestIntervalLists:
             grid=(blocks, 1), block_threads=32, params={"data": data}
         )
         engine = SimulationEngine(kernel, gmem=build_gmem())
-        assert engine.dependence.data_dependent
+        assert engine.summary.data_dependent
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any RuntimeWarning fails
             trace = engine.run(launch)

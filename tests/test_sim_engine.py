@@ -1,4 +1,4 @@
-"""Simulation engine: taint analysis, deduplication, parallel fan-out,
+"""Simulation engine: dependence summary, deduplication, parallel fan-out,
 cross-block read-after-write detection, and the on-disk trace memo
 cache.
 
@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.analysis.affine import affine_summary
 from repro.apps.matmul import build_matmul_kernel
 from repro.apps.matmul import prepare_problem as prepare_matmul
 from repro.apps.matrices import random_blocked
@@ -28,7 +29,6 @@ from repro.sim import (
     GlobalMemory,
     LaunchConfig,
     SimulationEngine,
-    analyze_dependence,
     partition_blocks,
 )
 from repro.sim.engine import (
@@ -58,6 +58,13 @@ def _uniform_kernel(gmem, words=64):
     return b.build(), {"out": out}
 
 
+def _partition(launch, kernel):
+    summary = affine_summary(kernel)
+    return partition_blocks(
+        launch, summary.data_dependent, summary.block_in_control
+    )
+
+
 def _tail_guarded_kernel(gmem, n):
     """Vector-scale kernel with a `gid < n` tail guard."""
     buf = gmem.alloc(n + 64, "buf")
@@ -79,36 +86,41 @@ def _tail_guarded_kernel(gmem, n):
 
 class TestDependenceAnalysis:
     def test_matmul_is_block_uniform(self):
-        dep = analyze_dependence(build_matmul_kernel(128, 16))
-        assert not dep.data_dependent
-        assert not dep.block_in_control
-        assert dep.block_in_addresses  # tile bases shift with ctaid
+        summary = affine_summary(build_matmul_kernel(128, 16))
+        assert not summary.data_dependent
+        assert not summary.block_in_control
+        # tile bases shift with ctaid
+        assert any(
+            {"ctaid_x", "ctaid_y"} & a.form.tags
+            for a in summary.addresses
+            if a.space == "global"
+        )
 
     def test_cr_is_block_uniform(self):
         for padded in (False, True):
-            dep = analyze_dependence(build_cr_kernel(64, padded))
-            assert not dep.data_dependent
-            assert not dep.block_in_control
+            summary = affine_summary(build_cr_kernel(64, padded))
+            assert not summary.data_dependent
+            assert not summary.block_in_control
 
     def test_spmv_is_data_dependent(self):
         matrix = random_blocked(block_rows=40, slots=3)
         for fmt in ("ell", "bell_im", "bell_imiv"):
             problem = prepare_spmv(matrix, fmt)
-            dep = analyze_dependence(build_kernel_for(problem))
-            assert dep.data_dependent  # x-gather addresses come from cols
+            summary = affine_summary(build_kernel_for(problem))
+            assert summary.data_dependent  # x-gather addresses come from cols
 
     def test_tail_guard_taints_control_not_data(self):
         gmem = GlobalMemory()
         kernel, _ = _tail_guarded_kernel(gmem, 100)
-        dep = analyze_dependence(kernel)
-        assert dep.block_in_control
-        assert not dep.data_dependent
+        summary = affine_summary(kernel)
+        assert summary.block_in_control
+        assert not summary.data_dependent
 
     def test_register_reuse_does_not_smear_data_taint(self):
         # matmul reuses B-staging registers as prologue address scratch;
-        # only flow-sensitivity keeps its addresses DATA-free.
-        dep = analyze_dependence(build_matmul_kernel(256, 8))
-        assert not dep.data_dependent
+        # only flow-sensitivity keeps its addresses data-free.
+        summary = affine_summary(build_matmul_kernel(256, 8))
+        assert not summary.data_dependent
 
 
 class TestPartitioning:
@@ -116,7 +128,7 @@ class TestPartitioning:
         gmem = GlobalMemory()
         kernel, params = _uniform_kernel(gmem, words=8 * 32)
         launch = LaunchConfig(grid=(8, 1), block_threads=32, params=params)
-        classes = partition_blocks(launch, analyze_dependence(kernel))
+        classes = _partition(launch, kernel)
         assert len(classes) == 1
         assert len(classes[0].members) == 8
         # Three verifiers: the representative's neighbour, the median,
@@ -128,7 +140,7 @@ class TestPartitioning:
         gmem = GlobalMemory()
         kernel, params = _tail_guarded_kernel(gmem, 100)
         launch = LaunchConfig(grid=(6, 1), block_threads=32, params=params)
-        classes = partition_blocks(launch, analyze_dependence(kernel))
+        classes = _partition(launch, kernel)
         # first / interior / last blocks along x.
         assert sorted(len(c.members) for c in classes) == [1, 1, 4]
 
@@ -136,9 +148,7 @@ class TestPartitioning:
         matrix = random_blocked(block_rows=200, slots=3)
         problem = prepare_spmv(matrix, "bell_im")
         launch = problem.launch()
-        classes = partition_blocks(
-            launch, analyze_dependence(build_kernel_for(problem))
-        )
+        classes = _partition(launch, build_kernel_for(problem))
         assert len(classes) == launch.num_blocks
 
 
@@ -239,7 +249,7 @@ class TestDifferentialEquivalence:
 class TestProbeVerification:
     def test_misclassified_grid_falls_back_to_full_simulation(self):
         # Force a wrong single-class claim: a tail-guarded kernel whose
-        # dependence is overridden to look block-uniform.  The verifier
+        # summary is overridden to look block-uniform.  The verifier
         # probe must catch the mismatch and demote the class.
         gmem = GlobalMemory()
         kernel, params = _tail_guarded_kernel(gmem, 100)
@@ -250,7 +260,7 @@ class TestProbeVerification:
         kernel2, _ = _tail_guarded_kernel(gmem2, 100)
         engine = SimulationEngine(kernel2, gmem=gmem2)
         # deliberately wrong claim: pretend the grid is block-uniform
-        engine.dependence = analyze_dependence(build_matmul_kernel(128, 8))
+        engine.summary = affine_summary(build_matmul_kernel(128, 8))
         fast = engine.run(launch)
 
         assert fast.engine_stats.probe_fallbacks == 1
@@ -395,7 +405,7 @@ class TestCrossBlockRawCheck:
     def test_engine_warns_on_cross_block_raw(self):
         kernel, gmem, launch = self._raw_kernel(blocks=4)
         engine = SimulationEngine(kernel, gmem=gmem)
-        assert engine.dependence.data_dependent
+        assert engine.summary.data_dependent
         with pytest.warns(RuntimeWarning, match="read-after-write"):
             engine.run(launch)
 
@@ -449,7 +459,7 @@ class TestCrossBlockRawCheck:
             params={"idx": base_idx, "out": base_out, "data": base_data},
         )
         engine = SimulationEngine(b.build(), gmem=gmem)
-        assert engine.dependence.data_dependent
+        assert engine.summary.data_dependent
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             engine.run(launch)

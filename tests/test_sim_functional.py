@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import DivergenceError, LaunchError, SimulationError
-from repro.isa import Imm, KernelBuilder
+from repro.errors import (
+    DivergenceError,
+    LaunchError,
+    SimulationError,
+    ValidationError,
+)
+from repro.isa import Imm, KernelBuilder, parse_kernel
 from repro.sim import (
     EV_ARITH,
     EV_ARITH_SHARED,
@@ -493,6 +498,19 @@ class TestExitAccounting:
         trace, _ = run_simple(build)
         # Lanes 0-4 exit early, the rest exit at the end: two issues.
         assert trace.totals.instructions["exit"] == 2
+
+    def test_guarded_exit_is_refused_before_running(self):
+        # parse_kernel does not validate; the simulator does, so no
+        # interpreter ever runs an exit whose guard it would ignore.
+        kernel = parse_kernel(
+            ".kernel guarded_exit\n.regs 1\n.preds 1\n"
+            "    isetp.ge p0, %tid, 16\n"
+            "    @p0 exit\n"
+            "    mov r0, 1\n"
+            "    exit\n"
+        )
+        with pytest.raises(ValidationError, match="exit cannot be guarded"):
+            FunctionalSimulator(kernel)
 
     def test_exit_appears_in_warp_stream(self):
         # The mix and the replayed warp stream must agree on the issue
