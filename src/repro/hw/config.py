@@ -108,6 +108,10 @@ class HwConfig:
             raise HardwareModelError("arith_latency needs four entries")
         if self.texcache_line <= 0 or self.texcache_line & (self.texcache_line - 1):
             raise HardwareModelError("texcache_line must be a power of two")
+        # A negative slack re-queues a warp whose resources are free, at
+        # the same time, forever.
+        if self.repush_slack < 0:
+            raise HardwareModelError("repush_slack must be non-negative")
 
 
 def issue_intervals(spec: GpuSpec) -> tuple[float, float, float, float]:

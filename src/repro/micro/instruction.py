@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.arch.specs import GpuSpec, GTX285
 from repro.hw.gpu import HardwareGpu
 from repro.micro.codegen import instruction_benchmark
-from repro.micro.runner import single_warp_stream, sm_resident_blocks
+from repro.micro.runner import replay_point, single_warp_stream
 from repro.sim.trace import TYPE_NAMES
 
 #: Default warp grid: dense at the knee, sparse near the ceiling.
@@ -79,9 +79,7 @@ def measure_instruction_throughput(
         stream = single_warp_stream(kernel, {"iters": iterations})
         series = []
         for warps in warp_counts:
-            result = gpu.measure_uniform_sm(
-                sm_resident_blocks(stream, warps), resident_per_sm=8
-            )
+            result = replay_point(gpu, stream, warps, "instruction", type_name)
             seconds = result.cycles / spec.core_clock_hz
             instructions = iterations * unroll * warps * spec.num_sms
             series.append(instructions / seconds / 1e9)

@@ -8,11 +8,18 @@ cheap, and bit-identical to simulating each warp (asserted in tests).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro import obs
 from repro.errors import CalibrationError
 from repro.isa.program import Kernel
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 from repro.sim.memory import GlobalMemory
 from repro.sim.trace import BlockTrace
+
+if TYPE_CHECKING:
+    from repro.hw.cluster import ClusterResult
+    from repro.hw.gpu import HardwareGpu
 
 
 def single_warp_stream(
@@ -61,3 +68,19 @@ def synthetic_block(stream: list, warps: int) -> BlockTrace:
 def sm_resident_blocks(stream: list, warps: int) -> list[list[list]]:
     """Per-SM resident block set realizing ``warps`` warps."""
     return [[stream] * k for k in blocks_for_warps(warps)]
+
+
+def replay_point(
+    gpu: HardwareGpu, stream: list, warps: int, sweep: str, kind: str
+) -> ClusterResult:
+    """Replay one sweep point: ``warps`` resident warps of ``stream`` per SM.
+
+    Each point is a ``micro.sweep`` obs span carrying the sweep, the
+    benchmark ``type``, the warp count and the events replayed.
+    """
+    with obs.span("micro.sweep", sweep=sweep, type=kind, warps=warps):
+        result = gpu.measure_uniform_sm(
+            sm_resident_blocks(stream, warps), resident_per_sm=8
+        )
+        obs.tag(events=result.events)
+    return result

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.hw.gpu import HardwareGpu
 from repro.micro.codegen import shared_copy_benchmark
 from repro.micro.instruction import DEFAULT_WARP_COUNTS
-from repro.micro.runner import single_warp_stream, sm_resident_blocks
+from repro.micro.runner import replay_point
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 
 #: Bytes carried by one half-warp shared-memory transaction.
@@ -63,9 +63,7 @@ def measure_shared_bandwidth(
 
     series = []
     for warps in warp_counts:
-        result = gpu.measure_uniform_sm(
-            sm_resident_blocks(stream, warps), resident_per_sm=8
-        )
+        result = replay_point(gpu, stream, warps, "shared", "copy")
         seconds = result.cycles / spec.core_clock_hz
         total_bytes = (
             transactions_per_warp

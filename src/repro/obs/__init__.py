@@ -46,6 +46,7 @@ from repro.obs.core import (
     span,
     start,
     stop,
+    tag,
 )
 from repro.obs.export import export_session
 
@@ -64,6 +65,7 @@ __all__ = [
     "span",
     "start",
     "stop",
+    "tag",
 ]
 
 

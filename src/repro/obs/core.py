@@ -56,6 +56,8 @@ class Recorder:
         self._seq = 0
         self._pool_calls = 0
         self._stack: list[str] = []
+        #: Attribute dicts of the open spans, innermost last (see tag).
+        self._open_attrs: list[dict] = []
 
     # ------------------------------------------------------------------
     # spans
@@ -77,6 +79,7 @@ class Recorder:
         span_id = self.next_id()
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
+        self._open_attrs.append(attrs)
         error = False
         t0 = time.perf_counter_ns()
         try:
@@ -87,6 +90,7 @@ class Recorder:
         finally:
             t1 = time.perf_counter_ns()
             self._stack.pop()
+            self._open_attrs.pop()
             event = {
                 "type": "span",
                 "id": span_id,
@@ -100,6 +104,11 @@ class Recorder:
             if error:
                 event["error"] = True
             self.events.append(event)
+
+    def tag(self, **attrs) -> None:
+        """Add attributes to the innermost open span, e.g. its result."""
+        if self._open_attrs:
+            self._open_attrs[-1].update(attrs)
 
     def event(self, name: str, **attrs) -> None:
         """A point-in-time event attached to the current span."""
@@ -226,6 +235,13 @@ def span(name: str, **attrs):
     if recorder is None:
         return _NOOP
     return recorder.span(name, **attrs)
+
+
+def tag(**attrs) -> None:
+    """Attach attributes to the innermost open span (no-op when off)."""
+    recorder = _RECORDER
+    if recorder is not None:
+        recorder.tag(**attrs)
 
 
 def event(name: str, **attrs) -> None:

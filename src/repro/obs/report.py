@@ -11,6 +11,8 @@ in tests.  The summary answers the triage questions the ISSUE lists:
   ``cache.<kind>.hits``/``cache.<kind>.misses`` counter pairs.
 * **What degraded?**  Every nonzero ``*.health.*`` counter plus every
   warning/error log record.
+* **How hard did the cluster replay work?**  Runs, issued events and
+  heap pops per issued event, from the ``hw.cluster_*`` counters.
 """
 
 from __future__ import annotations
@@ -110,6 +112,22 @@ def cache_summary(metrics: dict) -> dict:
     return dict(sorted(kinds.items()))
 
 
+def replay_summary(metrics: dict) -> dict:
+    """Cluster event-loop work; empty when no replay was recorded."""
+    counters = metrics.get("counters", {}) if isinstance(metrics, dict) else {}
+    runs = counters.get("hw.cluster_runs", 0)
+    if not runs:
+        return {}
+    events = counters.get("hw.cluster_events", 0)
+    pops = counters.get("hw.cluster_heap_pops", 0)
+    return {
+        "runs": runs,
+        "events": events,
+        "heap_pops": pops,
+        "pops_per_event": round(pops / events, 3) if events else None,
+    }
+
+
 def degradation_summary(events: list[dict], metrics: dict) -> dict:
     counters = metrics.get("counters", {}) if isinstance(metrics, dict) else {}
     health = {
@@ -149,6 +167,7 @@ def build_report(
         },
         "top_spans": spans[:top_spans],
         "caches": cache_summary(metrics),
+        "replay": replay_summary(metrics),
         "degradations": degradation_summary(events, metrics),
         "counters": metrics.get("counters", {}),
         "histograms": metrics.get("histograms", {}),
@@ -158,6 +177,15 @@ def build_report(
 # ----------------------------------------------------------------------
 # renderers
 # ----------------------------------------------------------------------
+def _replay_line(replay: dict) -> str:
+    rate = replay["pops_per_event"]
+    rendered = f"{rate:.2f}" if rate is not None else "n/a"
+    return (
+        f"{replay['runs']:.0f} runs, {replay['events']:.0f} events, "
+        f"{replay['heap_pops']:.0f} heap pops ({rendered} per issued event)"
+    )
+
+
 def render_text(report: dict) -> str:
     lines = []
     command = report.get("command") or "?"
@@ -189,6 +217,9 @@ def render_text(report: dict) -> str:
                 f"  {kind:<12} {rendered:>7} "
                 f"({entry['hits']:.0f} hits / {entry['misses']:.0f} misses)"
             )
+    replay = report.get("replay")
+    if replay:
+        lines.append(f"cluster replay       : {_replay_line(replay)}")
     degradations = report["degradations"]
     if degradations["health_counters"] or degradations["warnings"]:
         lines.append("degradation events:")
@@ -237,6 +268,10 @@ def render_markdown(report: dict) -> str:
                 f"| {kind} | {rendered} | {entry['hits']:.0f} | "
                 f"{entry['misses']:.0f} |"
             )
+        lines.append("")
+    replay = report.get("replay")
+    if replay:
+        lines.append(f"Cluster replay: {_replay_line(replay)}.")
         lines.append("")
     degradations = report["degradations"]
     if degradations["health_counters"] or degradations["warnings"]:

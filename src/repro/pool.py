@@ -439,22 +439,26 @@ def map_tasks(
                     initializer=initializer,
                     initargs=tuple(initargs),
                 )
-            futures = {
-                i: executor.submit(
-                    _call_task,
-                    worker_fn,
-                    i,
-                    tasks[i],
-                    attempts[i],
-                    plan,
-                    f"{lane_prefix}.t{i}" if lane_prefix else None,
-                )
-                for i in pending
-            }
+            futures = {}
             completed: set[int] = set()
             timed_out: int | None = None
             crashed = False
             for i in pending:
+                try:
+                    futures[i] = executor.submit(
+                        _call_task,
+                        worker_fn,
+                        i,
+                        tasks[i],
+                        attempts[i],
+                        plan,
+                        f"{lane_prefix}.t{i}" if lane_prefix else None,
+                    )
+                except BrokenProcessPool:
+                    # A worker died before every task was submitted.
+                    crashed = True
+                    break
+            for i in futures if not crashed else ():
                 try:
                     results[i] = harvest(
                         futures[i].result(timeout=task_timeout)
@@ -487,8 +491,8 @@ def map_tasks(
             for i in pending:
                 if i in completed or i == timed_out:
                     continue
-                future = futures[i]
-                if future.done() and not future.cancelled():
+                future = futures.get(i)
+                if future is not None and future.done() and not future.cancelled():
                     try:
                         results[i] = harvest(future.result(timeout=0))
                         completed.add(i)

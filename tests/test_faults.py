@@ -138,6 +138,38 @@ class TestPoolSelfHealing:
         assert health.retried >= 1
         assert health.serial_fallbacks == 0
 
+    def test_pool_broken_during_submission_recovers(self, monkeypatch):
+        # A worker can die while tasks are still being submitted; then
+        # ``submit`` itself raises.  Made deterministic with an
+        # in-process executor whose first pool breaks on the 2nd submit.
+        import concurrent.futures as cf
+        from concurrent.futures.process import BrokenProcessPool
+
+        pools = []
+
+        class BreaksOnSecondSubmit:
+            def __init__(self, **kwargs):
+                pools.append(self)
+                self.submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if len(pools) == 1 and self.submitted == 2:
+                    raise BrokenProcessPool("worker died during submission")
+                future = cf.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        health = PoolHealth()
+        out = map_tasks(list(range(4)), 2, _times_ten, _times_ten, health=health)
+        assert out == [i * 10 for i in range(4)]
+        assert health.worker_crashes == 1
+        assert len(pools) == 2
+
     def test_permanent_crash_degrades_to_serial(self):
         health = PoolHealth()
         with faults.injected(crash_task=2, crash_attempts=99):

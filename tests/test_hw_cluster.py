@@ -165,6 +165,10 @@ class TestScheduling:
         with pytest.raises(HardwareModelError):
             ClusterSimulator().run([[]], 0)
 
+    def test_negative_repush_slack_rejected(self):
+        with pytest.raises(HardwareModelError, match="repush_slack"):
+            HwConfig(repush_slack=-1.0)
+
 
 class TestTextureCache:
     def test_cache_hits_skip_dram(self):

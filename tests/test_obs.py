@@ -290,6 +290,61 @@ class TestByteIdentity:
         assert recorder.counters.get("hw.measures") == 1
 
 
+class TestCalibrationObservability:
+    def test_sweep_spans_and_replay_counters(self, tmp_path):
+        from repro.micro import calibrate
+
+        def tables():
+            return calibrate(
+                HardwareGpu(), warp_counts=(1, 8), iterations=10
+            ).to_json()
+
+        off = tables()
+        recorder = obs.start()
+        try:
+            on = tables()
+        finally:
+            obs.stop()
+        assert on == off
+        sweeps = [
+            e["attrs"] for e in recorder.events
+            if e["type"] == "span" and e["name"] == "micro.sweep"
+        ]
+        # Four instruction types and the shared copy, two points each.
+        assert len(sweeps) == 10
+        assert {a["sweep"] for a in sweeps} == {"instruction", "shared"}
+        assert {a["type"] for a in sweeps} == {"I", "II", "III", "IV", "copy"}
+        assert {a["warps"] for a in sweeps} == {1, 8}
+        counters = recorder.counters
+        assert counters["hw.cluster_runs"] == len(sweeps)
+        assert counters["hw.cluster_events"] == sum(a["events"] for a in sweeps)
+        assert counters["hw.cluster_heap_pops"] >= counters["hw.cluster_events"]
+
+        export.export_session(recorder, tmp_path, command="calibrate")
+        built = report.build_report(tmp_path)
+        replay = built["replay"]
+        assert replay["runs"] == len(sweeps)
+        assert replay["pops_per_event"] == round(
+            replay["heap_pops"] / replay["events"], 3
+        )
+        assert "heap pops" in report.render_text(built)
+        assert "Cluster replay:" in report.render_markdown(built)
+
+    def test_tag_updates_innermost_open_span_only(self):
+        recorder = obs.start()
+        try:
+            with obs.span("outer", a=1):
+                with obs.span("inner"):
+                    obs.tag(events=5)
+                obs.tag(b=2)
+            obs.tag(c=3)  # no open span: ignored
+        finally:
+            obs.stop()
+        attrs = {e["name"]: e["attrs"] for e in recorder.events}
+        assert attrs == {"inner": {"events": 5}, "outer": {"a": 1, "b": 2}}
+        obs.tag(d=4)  # disabled: a no-op
+
+
 # ----------------------------------------------------------------------
 # export + report round trip
 # ----------------------------------------------------------------------
